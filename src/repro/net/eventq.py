@@ -41,11 +41,24 @@ division by a positive width is monotone, epoch assignment preserves
 time order exactly, so the promoted minimum epoch always holds the
 global minimum event.
 
-Resizing: when a promoted bucket is oversized the width is recomputed
-from that bucket's observed event density (one rebuild instead of
-repeated halving); a long streak of near-empty promotions doubles the
-width. Rebuilds only happen between epochs (the near list empty), which
-is what keeps the near/far ordering invariant trivially true.
+Resizing: when a promoted bucket holds more than ``resize_hi``
+*distinct* timestamps, the width is recomputed from that bucket's
+distinct-timestamp density (one rebuild instead of repeated halving). A
+bucket that is oversized only through ties — a batch of synchronised
+sources firing at one instant — is left alone, because no width can
+split simultaneous events. A long streak of near-empty promotions
+doubles the width. Rebuilds only happen between epochs (the near list
+empty), which is what keeps the near/far ordering invariant trivially
+true.
+
+Every rebuild, shrink or widen, also spends a rehash budget: it is
+allowed only once the queue has drained (promoted) at least as many
+events as the previous rebuild moved. Each rebuild's moves are thus
+repaid by events drained before the next rebuild, except the last
+rebuild's, which are at most the pending population; so for any arrival
+pattern the total rehash work is at most *events popped + peak pending*
+— Brown's amortised O(1) argument made explicit. The count lives in
+``_promote``, so ``push`` pays nothing for it.
 """
 
 from __future__ import annotations
@@ -148,8 +161,9 @@ class CalendarQueue:
             few promotions.
         target_per_bucket: Desired events per bucket; the resize rules
             steer the observed bucket occupancy towards this.
-        resize_hi: A promoted bucket larger than this triggers a width
-            recomputation (shrink) from its measured density.
+        resize_hi: A promoted bucket with more distinct timestamps than
+            this triggers a width recomputation (shrink) from its
+            measured density.
         widen_streak: This many consecutive near-empty promotions double
             the width.
         min_width / max_width: Clamps for the adaptive width.
@@ -159,8 +173,8 @@ class CalendarQueue:
 
     __slots__ = (
         "_width", "_near", "_head", "_far", "_epochs", "_cur_epoch",
-        "size", "resizes", "_target", "_hi", "_widen_streak",
-        "_small_run", "_min_width", "_max_width",
+        "size", "resizes", "rehashed", "_target", "_hi", "_widen_streak",
+        "_small_run", "_min_width", "_max_width", "_drained", "_budget",
     )
 
     def __init__(
@@ -194,12 +208,18 @@ class CalendarQueue:
         self.size = 0
         #: Number of automatic width changes (observability).
         self.resizes = 0
+        #: Tuples moved by rebuilds, in total (observability).
+        self.rehashed = 0
         self._target = target_per_bucket
         self._hi = resize_hi
         self._widen_streak = widen_streak
         self._small_run = 0
         self._min_width = min_width
         self._max_width = max_width
+        #: Events promoted since the last rebuild, and the number that
+        #: rebuild moved: the next rebuild waits until drained >= budget.
+        self._drained = 0
+        self._budget = 0
 
     # -- core operations ----------------------------------------------------
 
@@ -269,12 +289,13 @@ class CalendarQueue:
 
         Caller guarantees at least one far bucket exists. Resizes happen
         only here — the near list is empty, so rehashing every pending
-        event cannot break the near/far time ordering.
+        event cannot break the near/far time ordering — and only once
+        the rehash budget is paid (see the module docstring).
         """
         epoch = heapq.heappop(self._epochs)
         bucket = self._far.pop(epoch)
         n = len(bucket)
-        if n > self._hi:
+        if n > self._hi and self._drained >= self._budget:
             rewidth = self._density_width(bucket)
             if rewidth < self._width:
                 self._rebuild(rewidth, bucket)
@@ -286,27 +307,30 @@ class CalendarQueue:
             if (
                 self._small_run >= self._widen_streak
                 and self._width < self._max_width
+                and self._drained >= self._budget
             ):
                 self._rebuild(min(self._width * 2.0, self._max_width), bucket)
                 epoch = heapq.heappop(self._epochs)
                 bucket = self._far.pop(epoch)
+                n = len(bucket)
         else:
             self._small_run = 0
         bucket.sort()
+        self._drained += n
         self._near = bucket
         self._head = 0
         self._cur_epoch = epoch
 
     def _density_width(self, bucket: List[Tuple[float, int, "Event"]]) -> float:
-        """Width putting ~``target_per_bucket`` of this bucket's density
-        in one bucket; clamped to guarantee an actual shrink."""
-        lo = min(bucket)[0]
-        hi = max(bucket)[0]
-        span = hi - lo
-        if span <= 0.0:
-            # Simultaneous events cannot be split by any width.
+        """Width putting ~``target_per_bucket`` distinct timestamps of this
+        bucket's density in one bucket; clamped to guarantee an actual
+        shrink. Returns the current width (no shrink) when the bucket has
+        at most ``resize_hi`` distinct timestamps: its excess is ties."""
+        times = {item[0] for item in bucket}
+        distinct = len(times)
+        if distinct <= self._hi:
             return self._width
-        width = span * self._target / len(bucket)
+        width = (max(times) - min(times)) * self._target / distinct
         return max(min(width, self._width / 2.0), self._min_width)
 
     def _rebuild(
@@ -320,6 +344,9 @@ class CalendarQueue:
         self._far = far = {}
         self._cur_epoch = None
         self.resizes += 1
+        self.rehashed += len(items)
+        self._budget = len(items)
+        self._drained = 0
         self._small_run = 0
         for item in items:
             try:
@@ -343,7 +370,10 @@ class CalendarQueue:
 
     def stats(self) -> Dict[str, float]:
         """Backend-specific observability counters."""
-        return {"queue_resizes": self.resizes}
+        return {
+            "queue_resizes": self.resizes,
+            "queue_rehashed": self.rehashed,
+        }
 
     def __repr__(self) -> str:
         return (

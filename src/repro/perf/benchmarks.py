@@ -17,9 +17,12 @@ Four groups, each timing the layer above it:
 ``end_to_end``
     A full E5-scale network scenario (SRR bottleneck, hundreds of CBR
     flows) run under each backend — the number every experiment actually
-    feels. A third entry replays the identical scenario through the
-    flat-core lean loop (:mod:`repro.fastpath.netloop`); its params
-    carry ``core: "fast"`` instead of an ``engine`` key because no
+    feels. It runs at two sizes: 256 flows, and E4's 600, where each
+    period's synchronised emissions form a tie larger than the calendar
+    queue's ``resize_hi`` (the regime that once made it rebuild over and
+    over). A third entry at 256 flows replays the identical scenario
+    through the flat-core lean loop (:mod:`repro.fastpath.netloop`); its
+    params carry ``core: "fast"`` instead of an ``engine`` key because no
     event queue is involved, and since its work items (packets
     delivered) are not commensurable with the event-loop runs' events,
     the fastpath-vs-object claim is compared on mean *round time*
@@ -77,6 +80,9 @@ _DEQUEUE_PULLS = 20_000
 #: End-to-end scenario size: an SRR bottleneck at E5-like flow counts.
 _E2E_FLOWS = 256
 _E2E_UNTIL = 2.0
+#: The synchronised-source size (E4's N=600): one tie per CBR period
+#: larger than the calendar queue's ``resize_hi``.
+_E2E_TIED_FLOWS = 600
 
 #: Shard-scaling sweep: a k=4 fat-tree run whole, then split across
 #: processes. Wall time includes worker spawn + per-shard build — the
@@ -282,15 +288,18 @@ def all_benchmarks() -> List[Benchmark]:
                 rounds=3,
                 quick_rounds=1,
             ))
-    for kind in _ENGINES:
-        benches.append(Benchmark(
-            "end_to_end",
-            f"e2e_srr_bottleneck[{kind}-n{_E2E_FLOWS}]",
-            {"engine": kind, "n_flows": _E2E_FLOWS, "until": _E2E_UNTIL},
-            lambda kind=kind: _e2e_round(kind, _E2E_FLOWS, _E2E_UNTIL),
-            rounds=3,
-            quick_rounds=1,
-        ))
+    def e2e(n: int) -> None:
+        for kind in _ENGINES:
+            benches.append(Benchmark(
+                "end_to_end",
+                f"e2e_srr_bottleneck[{kind}-n{n}]",
+                {"engine": kind, "n_flows": n, "until": _E2E_UNTIL},
+                lambda kind=kind: _e2e_round(kind, n, _E2E_UNTIL),
+                rounds=3,
+                quick_rounds=1,
+            ))
+
+    e2e(_E2E_FLOWS)
     benches.append(Benchmark(
         "end_to_end",
         f"e2e_srr_bottleneck[fastpath-n{_E2E_FLOWS}]",
@@ -299,6 +308,7 @@ def all_benchmarks() -> List[Benchmark]:
         rounds=3,
         quick_rounds=1,
     ))
+    e2e(_E2E_TIED_FLOWS)
     for shards in _SHARD_COUNTS:
         benches.append(Benchmark(
             "shard_scaling",

@@ -15,7 +15,7 @@ import math
 import platform
 import subprocess
 from datetime import datetime, timezone
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .benchmarks import BenchResult
 
@@ -113,20 +113,29 @@ def build_document(results: Sequence[BenchResult]) -> Dict[str, Any]:
 def speedup_summary(doc: Dict[str, Any]) -> Dict[str, float]:
     """Calendar-vs-heap speedups derivable from one document.
 
-    Returns ``{"event_loop": x, "end_to_end": y}`` (throughput ratios,
-    calendar over heap) for whichever groups have both engines present.
+    Returns throughput ratios, calendar over heap, for every group and
+    flow count that has both engines present, e.g. ``{"event_loop": x,
+    "end_to_end": y, "end_to_end n600": z}``. A group's smallest flow
+    count (or its only size) is keyed by the bare group name; each
+    larger one appends `` n<flows>``.
     """
-    by_group: Dict[str, Dict[str, float]] = {}
+    by_key: Dict[Tuple[str, int], Dict[str, float]] = {}
     for bench in doc.get("benchmarks", []):
-        engine = bench.get("params", {}).get("engine")
+        params = bench.get("params", {})
+        engine = params.get("engine")
         if engine is None:
             continue
         rate = bench.get("extra_info", {}).get("throughput_per_s", 0.0)
-        by_group.setdefault(bench["group"], {})[engine] = rate
+        key = (bench["group"], params.get("n_flows", 0))
+        by_key.setdefault(key, {})[engine] = rate
+    smallest: Dict[str, int] = {}
+    for group, n in by_key:
+        smallest[group] = min(n, smallest.get(group, n))
     out: Dict[str, float] = {}
-    for group, rates in by_group.items():
+    for (group, n), rates in by_key.items():
         if rates.get("heap") and rates.get("calendar"):
-            out[group] = rates["calendar"] / rates["heap"]
+            label = group if n == smallest[group] else f"{group} n{n}"
+            out[label] = rates["calendar"] / rates["heap"]
     return out
 
 

@@ -14,6 +14,7 @@ from repro.faults import FaultInjector, FaultSpec, build_fault_plan
 from repro.net import CBRSource, Network
 from repro.net.eventq import ENGINE_ENV_VAR
 from repro.obs.trace import Tracer, trace_network
+from repro.shard.digest import delivery_digest, delivery_streams
 
 ENGINES = ("heap", "calendar")
 
@@ -124,3 +125,26 @@ class TestFaultReplayIdentity:
             return plan.signature(), inj.fired, net.sinks.flow("f1").packets
 
         assert run_once("heap") == run_once("calendar")
+
+
+class TestSynchronisedBottleneck:
+    def test_n600_digests_identical_without_resizes(self, monkeypatch):
+        # E4 at N=600: every CBR flow starts at t=0, so each period the
+        # queue holds a ~600-way timestamp tie. The calendar queue must
+        # deliver the same packets as the heap without rebuilding.
+        def run_once(kind):
+            monkeypatch.setenv(ENGINE_ENV_VAR, kind)
+            net = single_bottleneck_network("srr", 600)
+            net.run(until=0.5)
+            per_flow = {
+                fid: delivery_digest({fid: stream})
+                for fid, stream in delivery_streams(net).items()
+            }
+            return per_flow, net.sim.stats()
+
+        heap_digests, _ = run_once("heap")
+        cal_digests, cal_stats = run_once("calendar")
+        assert len(heap_digests) == 601  # every flow delivered something
+        assert cal_digests == heap_digests
+        assert cal_stats["queue_kind"] == "calendar"
+        assert cal_stats["queue_resizes"] == 0

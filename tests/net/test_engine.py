@@ -183,6 +183,7 @@ class TestObservability:
         stats = sim.stats()
         assert stats["queue_kind"] == "calendar"
         assert stats["queue_resizes"] == 0
+        assert stats["queue_rehashed"] == 0
 
     def test_callback_hook_times_each_event(self):
         sim = Simulator()

@@ -127,6 +127,65 @@ class TestOrderEquivalence:
         assert _drain(heap) == _drain(cal)
 
 
+def _sync_bursts(queue, *, periods, jitter):
+    """Drive ``queue`` like E4's synchronised bottleneck and return the
+    pop order plus the peak pending count.
+
+    600 flows fire once per period, flow ``i`` at ``p * period + i *
+    jitter`` (``jitter=0``: one 600-way tie), each re-arming one period
+    ahead when it fires. A tagged flow fires 0.1 us after each burst, and
+    a link-serialization chain fires every 160 us throughout.
+    """
+    period, flows, tx = 0.087, 600, 160e-6
+    seq = 0
+    peak = 0
+
+    def push(t, kind, p):
+        nonlocal seq, peak
+        queue.push(Event(t, seq, None, (kind, p)))
+        seq += 1
+        peak = max(peak, queue.size)
+
+    for i in range(flows):
+        push(i * jitter, i, 0)
+    push(1e-7, "tag", 0)
+    push(0.0, "tx", 0)
+    order = []
+    while queue.size:
+        event = queue.pop()
+        order.append((event.time, event.seq))
+        kind, p = event.args
+        if kind == "tx":
+            if event.time + tx < periods * period:
+                push(event.time + tx, "tx", p)
+        elif p + 1 < periods:
+            offset = 1e-7 if kind == "tag" else kind * jitter
+            push((p + 1) * period + offset, kind, p + 1)
+    return order, peak
+
+
+class TestSynchronisedBursts:
+    """The E4 regime: large batches of tied or nearly tied timestamps
+    must not make the calendar queue rebuild over and over."""
+
+    def test_tied_bursts_never_resize(self):
+        heap, cal = _make_queues()
+        order, _ = _sync_bursts(heap, periods=20, jitter=0.0)
+        assert _sync_bursts(cal, periods=20, jitter=0.0)[0] == order
+        # Every burst bucket holds 600 ties plus a few distinct times:
+        # no width can split it, so no rebuild is worth its cost.
+        assert cal.resizes == 0
+        assert cal.rehashed == 0
+
+    def test_jittered_bursts_rehash_within_budget(self):
+        heap, cal = _make_queues()
+        order, _ = _sync_bursts(heap, periods=20, jitter=1e-9)
+        cal_order, peak = _sync_bursts(cal, periods=20, jitter=1e-9)
+        assert cal_order == order
+        # Brown's amortisation bound, made explicit by the rehash budget.
+        assert cal.rehashed <= len(order) + peak
+
+
 class TestCalendarInternals:
     def test_peek_matches_pop(self):
         rng = random.Random(16)
@@ -150,7 +209,7 @@ class TestCalendarInternals:
 
     def test_stats_exposes_resizes(self):
         cal = CalendarQueue()
-        assert cal.stats() == {"queue_resizes": 0}
+        assert cal.stats() == {"queue_resizes": 0, "queue_rehashed": 0}
 
     def test_parameter_validation(self):
         with pytest.raises(ConfigurationError):

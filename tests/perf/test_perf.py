@@ -94,6 +94,25 @@ class TestDocument:
         summary = speedup_summary(_doc(slow, fast))
         assert summary == {"event_loop": pytest.approx(2.0)}
 
+    def test_speedup_summary_keys_larger_sizes(self):
+        def fake(engine, n_flows, mean):
+            return {
+                "group": "end_to_end",
+                "name": f"e2e[{engine}-n{n_flows}]",
+                "params": {"engine": engine, "n_flows": n_flows},
+                "stats": {"mean": mean},
+                "extra_info": {"throughput_per_s": 1.0 / mean},
+            }
+
+        doc = {"benchmarks": [
+            fake("heap", 256, 0.3), fake("calendar", 256, 0.2),
+            fake("heap", 600, 0.4), fake("calendar", 600, 0.1),
+        ]}
+        assert speedup_summary(doc) == {
+            "end_to_end": pytest.approx(1.5),
+            "end_to_end n600": pytest.approx(4.0),
+        }
+
     def test_speedup_summary_needs_both_engines(self):
         only_heap = run_benchmark(_tiny_bench(), quick=True)
         assert speedup_summary(_doc(only_heap)) == {}
@@ -197,6 +216,11 @@ class TestSuiteDefinition:
         # The flat-core benches ride along: scalar-datapath dequeues at
         # every sweep size plus the lean end-to-end replay.
         assert "e2e_srr_bottleneck[fastpath-n256]" in names
+        # The synchronised-source size (600-way ties, above the calendar
+        # queue's resize_hi) runs on both engines.
+        for kind in ("heap", "calendar"):
+            assert f"e2e_srr_bottleneck[{kind}-n256]" in names
+            assert f"e2e_srr_bottleneck[{kind}-n600]" in names
         for n in (16, 512, 4096):
             assert f"dequeue[srr:fast-n{n}]" in names
             assert f"dequeue[drr:fast-n{n}]" in names
